@@ -642,12 +642,12 @@ let measure_merge ~jobs =
   let tail = [ List.nth grown n ] in
   let config = { Encore.Config.default with Encore.Config.jobs } in
   let seq_config = { config with Encore.Config.jobs = 1 } in
-  let shards = 8 in
   let _, mg_fold_seq_ns =
     time_ns (fun () -> Encore.Pipeline.stats_of_images ~config:seq_config images)
   in
+  (* the fold shards once per pool worker *)
   let stats, mg_fold_sharded_ns =
-    time_ns (fun () -> Encore.Pipeline.stats_of_images ~config ~shards images)
+    time_ns (fun () -> Encore.Pipeline.stats_of_images ~config images)
   in
   let learner =
     match
@@ -674,7 +674,7 @@ let measure_merge ~jobs =
   in
   {
     mg_images = n;
-    mg_shards = shards;
+    mg_shards = jobs;
     mg_fold_seq_ns;
     mg_fold_sharded_ns;
     mg_retrain_ns;

@@ -269,6 +269,19 @@ let append_arg =
                  the refreshed model — byte-identical to retraining on the \
                  union corpus.")
 
+(* [--shards K]: K contiguous chunks, each folded on the worker pool,
+   merged in corpus order — the statistics of one sequential fold *)
+let stats_of_shards ~config k images =
+  let module Suffstats = Encore_rules.Suffstats in
+  let arr = Array.of_list images in
+  let n = Array.length arr in
+  let k = max 1 (min k n) in
+  List.init k (fun s ->
+      let lo = s * n / k in
+      Encore.Pipeline.stats_of_images ~config
+        (Array.to_list (Array.sub arr lo (((s + 1) * n / k) - lo))))
+  |> List.fold_left Suffstats.merge Suffstats.empty
+
 (* the suffstats face of learn: shard-merge batch learning and
    incremental append, both byte-identical to the batch pipeline *)
 let learn_mergeable ~config ~custom ~shards ~stats_dir ~append_dir images =
@@ -286,8 +299,9 @@ let learn_mergeable ~config ~custom ~shards ~stats_dir ~append_dir images =
     match append_dir with
     | None ->
         Result.map
-          (fun (model, learner) -> (model, learner, 0))
-          (Encore.Pipeline.learn_sharded_result ~config ?custom ~shards images)
+          (fun learner -> (Encore.Pipeline.model_of_learner learner, learner, 0))
+          (Encore.Pipeline.learner_result ~config ?custom
+             (stats_of_shards ~config shards images))
     | Some dir -> (
         let store = Encore.Stats_io.Store.create ~dir () in
         match Encore.Stats_io.Store.load_latest store with

@@ -4,11 +4,6 @@ module Csvio = Encore_util.Csvio
 module Oevents = Encore_obs.Events
 module Ometrics = Encore_obs.Metrics
 module Image = Encore_sysenv.Image
-module Assemble = Encore_dataset.Assemble
-module Table = Encore_dataset.Table
-module Row = Encore_dataset.Row
-module Tinfer = Encore_typing.Infer
-module Ctype = Encore_typing.Ctype
 module Model_io = Encore_detect.Model_io
 
 type stage = Ingest | Assemble | Model
@@ -150,13 +145,6 @@ let cut ~sep s =
   in
   go 0
 
-let strip_prefix prefix s =
-  if
-    String.length s >= String.length prefix
-    && String.sub s 0 (String.length prefix) = prefix
-  then Some (String.sub s (String.length prefix) (String.length s - String.length prefix))
-  else None
-
 (* --- ingest state --------------------------------------------------------- *)
 
 type ingest_state = {
@@ -251,98 +239,23 @@ let load_ingest t ~fingerprint =
       note_stale t Ingest;
       None
 
-(* --- assembled table ------------------------------------------------------ *)
+(* --- assembled statistics ------------------------------------------------- *)
 
-(* The generic [Table.to_csv]/[of_csv] cell encoding is lossy: an
-   attribute present with an empty value is indistinguishable from an
-   absent one (so all-empty columns vanish on reload), and ';' inside
-   a value collides with the multi-value cell separator.  The
-   checkpoint therefore stores the underlying rows pair-by-pair and
-   rebuilds with [Table.of_rows], which reproduces the table — column
-   set, order and duplicates included — exactly. *)
-let table_payload buf table =
-  List.iter
-    (fun (id, row) ->
-      Buffer.add_string buf (Csvio.row_to_string [ "r"; id ]);
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun (attr, value) ->
-          Buffer.add_string buf (Csvio.row_to_string [ "c"; attr; value ]);
-          Buffer.add_char buf '\n')
-        (Row.to_list row))
-    (Table.rows table)
-
-let parse_table text =
-  let close_current rows = function
-    | None -> rows
-    | Some (id, rev_pairs) -> (id, Row.of_list (List.rev rev_pairs)) :: rows
-  in
-  let rec go rows current = function
-    | [] -> Some (List.rev (close_current rows current))
-    | [ "r"; id ] :: rest -> go (close_current rows current) (Some (id, [])) rest
-    | [ "c"; attr; value ] :: rest -> (
-        match current with
-        | None -> None
-        | Some (id, rev_pairs) ->
-            go rows (Some (id, (attr, value) :: rev_pairs)) rest)
-    | _ -> None
-  in
-  Option.map Table.of_rows (go [] None (Csvio.parse text))
-
-(* Agreement fractions are written in hexadecimal float notation so the
-   restored type environment is bit-identical to the saved one. *)
-let assemble_payload (a : Assemble.assembled) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "@types\n";
-  List.iter
-    (fun (attr, (d : Tinfer.decision)) ->
-      Buffer.add_string buf
-        (Csvio.row_to_string
-           [
-             attr; Ctype.to_string d.Tinfer.ctype;
-             Printf.sprintf "%h" d.Tinfer.agreement;
-             string_of_int d.Tinfer.samples;
-           ]);
-      Buffer.add_char buf '\n')
-    a.Assemble.types;
-  Buffer.add_string buf "@table\n";
-  table_payload buf a.Assemble.table;
-  Buffer.contents buf
-
-let parse_assemble text =
-  let* rest = strip_prefix "@types\n" text in
-  let* types_text, table_text = cut ~sep:"@table\n" rest in
-  let* types =
-    List.fold_left
-      (fun acc row ->
-        let* acc = acc in
-        match row with
-        | [ attr; ctype; agreement; samples ] -> (
-            match
-              ( Ctype.of_string ctype,
-                float_of_string_opt agreement,
-                int_of_string_opt samples )
-            with
-            | Some ctype, Some agreement, Some samples ->
-                Some ((attr, { Tinfer.ctype; agreement; samples }) :: acc)
-            | _ -> None)
-        | _ -> None)
-      (Some []) (Csvio.parse types_text)
-  in
-  match parse_table table_text with
-  | Some table -> Some { Assemble.table; types = List.rev types }
-  | None -> None
-
-let save_assemble t ~fingerprint a =
-  save_payload t Assemble (fingerprint ^ "\n" ^ assemble_payload a)
+(* The Assemble stage's artifact is the statistics fold over the
+   survivors, stored as its [Stats_io] frame: the framed payload
+   carries its own schema line, so a checkpoint in any other format
+   (such as the older row-by-row table) fails to unframe and reads as
+   stale. *)
+let save_assemble t ~fingerprint stats =
+  save_payload t Assemble (fingerprint ^ "\n" ^ Stats_io.to_string stats)
 
 let load_assemble t ~fingerprint =
   let* rest = load_payload t Assemble ~fingerprint in
-  match parse_assemble rest with
-  | Some a ->
+  match Stats_io.of_string ~path:(stage_path t Assemble) rest with
+  | Ok stats ->
       note_resumed t Assemble (String.length rest);
-      Some a
-  | None ->
+      Some stats
+  | Error _ ->
       note_stale t Assemble;
       None
 

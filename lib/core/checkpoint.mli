@@ -1,8 +1,8 @@
 (** Stage checkpoints for crash-safe learning.
 
     {!Pipeline.learn_durable} persists its intermediate artifacts —
-    the ingest survivor set, the assembled attribute table with its
-    type environment, and the learned model — after each stage, all
+    the ingest survivor set, the sufficient statistics folded over the
+    survivors, and the learned model — after each stage, all
     through the atomic {!Encore_util.Snapshot} writer.  A run that is
     killed or times out can then resume, skip every completed stage,
     and still produce a byte-identical model: the stages downstream of
@@ -78,12 +78,12 @@ val save_ingest : t -> fingerprint:string -> ingest_state -> unit
 val load_ingest : t -> fingerprint:string -> ingest_state option
 
 val save_assemble :
-  t -> fingerprint:string -> Encore_dataset.Assemble.assembled -> unit
+  t -> fingerprint:string -> Encore_rules.Suffstats.t -> unit
 
 val load_assemble :
-  t -> fingerprint:string -> Encore_dataset.Assemble.assembled option
-(** Type-decision floats round-trip through hex notation, so the
-    restored environment is bit-identical to the saved one. *)
+  t -> fingerprint:string -> Encore_rules.Suffstats.t option
+(** The statistics fold over the ingest survivors, as its
+    {!Stats_io} frame; a checkpoint in any other format is stale. *)
 
 val save_model : t -> fingerprint:string -> Encore_detect.Detector.model -> unit
 val load_model : t -> fingerprint:string -> Encore_detect.Detector.model option

@@ -7,9 +7,9 @@ module Json = Encore_obs.Jsonenc
 module Image = Encore_sysenv.Image
 module Flaky = Encore_sysenv.Flaky
 module Registry = Encore_confparse.Registry
-module Assemble = Encore_dataset.Assemble
 module Detector = Encore_detect.Detector
 module Template = Encore_rules.Template
+module Suffstats = Encore_rules.Suffstats
 
 type model = Detector.model
 
@@ -55,9 +55,17 @@ let learn ?config ?custom ?pool images =
 
 (* --- mergeable sufficient-statistics learning ----------------------------- *)
 
-let stats_of_images ?(config = Config.default) ?pool ?shards images =
+let stats_of_images ?(config = Config.default) ?pool images =
   with_configured_pool ~config pool (fun pool ->
-      Encore_rules.Suffstats.of_images ?pool ?shards images)
+      Suffstats.of_images ?pool images)
+
+(* Finalize under the configured thresholds, then the mining probe:
+   the learner behind every path that reports the overflow bit. *)
+let probed_learner ~config ~templates ~mining_cap ?pool stats =
+  Suffstats.learner_of ?pool
+    ~params:(Config.rule_params config)
+    ~templates ~entropy_threshold:config.Config.entropy_threshold stats
+  |> Suffstats.probe ?pool ~mining_cap
 
 let learner_result ?(config = Config.default) ?custom ?pool
     ?(mining_cap = 100_000) stats =
@@ -66,24 +74,14 @@ let learner_result ?(config = Config.default) ?custom ?pool
   | Ok templates ->
       Ok
         (with_configured_pool ~config pool (fun pool ->
-             Encore_rules.Suffstats.learner_of ?pool
-               ~params:(Config.rule_params config)
-               ~templates
-               ~entropy_threshold:config.Config.entropy_threshold
-               ~mining_frac:config.Config.min_support_frac ~mining_cap stats))
+             probed_learner ~config ~templates ~mining_cap ?pool stats))
 
 let learn_append ?(config = Config.default) ?pool learner images =
   with_configured_pool ~config pool (fun pool ->
-      Encore_rules.Suffstats.append ?pool learner images)
+      Suffstats.append ?pool learner images)
 
 let model_of_learner learner =
-  Detector.model_of_finalized (Encore_rules.Suffstats.current learner)
-
-let learn_sharded_result ?config ?custom ?pool ?shards ?mining_cap images =
-  let stats = stats_of_images ?config ?pool ?shards images in
-  match learner_result ?config ?custom ?pool ?mining_cap stats with
-  | Error d -> Error d
-  | Ok learner -> Ok (model_of_learner learner, learner)
+  Detector.model_of_finalized (Suffstats.current learner)
 
 let check ?config:_ model img = Detector.check model img
 
@@ -126,33 +124,6 @@ type outcome = {
 }
 
 let default_mining_cap = 100_000
-
-(* Mining capacity probe: the learning path itself mines rules pairwise,
-   but Table 3's failure mode — frequent-itemset blow-up past the
-   miner's cap — is what degrades real deployments.  Run the counting
-   miner against the assembled table so the model can carry the
-   degraded-mode bit. *)
-let mining_probe ~config ~mining_cap ?pool table =
-  let transactions, _dict =
-    Otrace.with_span "discretize" (fun () ->
-        Encore_dataset.Discretize.transactions table)
-  in
-  let n_tx = Array.length transactions in
-  if n_tx = 0 then false
-  else
-    let min_support =
-      max 2
-        (int_of_float
-           (ceil (config.Config.min_support_frac *. float_of_int n_tx)))
-    in
-    let _count, overflowed =
-      Otrace.with_span "fpgrowth"
-        ~attrs:[ ("transactions", Json.Int n_tx) ]
-        (fun () ->
-          Encore_mining.Fpgrowth.count_only ~max_itemsets:mining_cap ?pool
-            ~min_support transactions)
-    in
-    overflowed
 
 (* --- ingestion telemetry -------------------------------------------------- *)
 
@@ -449,20 +420,17 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
         (* --- stage 2: assemble -------------------------------------- *)
         current := Checkpoint.Assemble;
         Encore_util.Deadline.raise_if_expired deadline;
-        let assembled =
+        let stats =
           match
             restore Checkpoint.Assemble (fun ck ->
                 Checkpoint.load_assemble ck ~fingerprint:sfp)
           with
-          | Some a -> a
+          | Some stats -> stats
           | None ->
-              let a =
-                Otrace.with_span "assemble" (fun () ->
-                    Assemble.assemble_training ?pool survivors)
-              in
+              let stats = Suffstats.of_images ?pool survivors in
               persist Checkpoint.Assemble (fun ck ->
-                  Checkpoint.save_assemble ck ~fingerprint:sfp a);
-              a
+                  Checkpoint.save_assemble ck ~fingerprint:sfp stats);
+              stats
         in
         (* --- stage 3: model + mining probe -------------------------- *)
         current := Checkpoint.Model;
@@ -474,24 +442,9 @@ let learn_durable ?(config = Config.default) ?custom ?(mode = Keep_going)
           with
           | Some m -> m
           | None ->
-              let rows = Encore_dataset.Table.rows assembled.Assemble.table in
-              let training =
-                List.map2 (fun img (_, row) -> (img, row)) survivors rows
-              in
               let model =
-                Detector.model_of_training
-                  ~params:(Config.rule_params config)
-                  ~templates
-                  ~entropy_threshold:config.Config.entropy_threshold ?pool
-                  ~types:assembled.Assemble.types training
-              in
-              let mining_overflowed =
-                Otrace.with_span "mining-probe" (fun () ->
-                    mining_probe ~config ~mining_cap ?pool
-                      assembled.Assemble.table)
-              in
-              let model =
-                { model with Detector.overflowed = mining_overflowed }
+                model_of_learner
+                  (probed_learner ~config ~templates ~mining_cap ?pool stats)
               in
               persist Checkpoint.Model (fun ck ->
                   Checkpoint.save_model ck ~fingerprint:sfp model);

@@ -38,17 +38,17 @@ val learn :
     The incremental/sharded face of learning: statistics fold per image
     and merge associatively ({!Encore_rules.Suffstats}), a resident
     learner finalizes them into a model and extends in sublinear time.
-    All entry points produce models byte-identical to the batch path
-    under the same {!Config}. *)
+    Every learning entry point, {!learn} and {!learn_resilient}
+    included, is this fold + finalize, so all of them produce
+    byte-identical models under the same {!Config}. *)
 
 val stats_of_images :
-  ?config:Config.t -> ?pool:Encore_util.Pool.t -> ?shards:int ->
+  ?config:Config.t -> ?pool:Encore_util.Pool.t ->
   Encore_sysenv.Image.t list -> Encore_rules.Suffstats.t
-(** Fold the corpus into sufficient statistics.  With [shards > 1] the
-    corpus is partitioned into contiguous chunks learned on the
-    configured pool and recombined with an order-preserving merge
-    reduction; the result is identical for every shard count and pool
-    size. *)
+(** Fold the corpus into sufficient statistics, one contiguous chunk
+    per worker of the configured pool, recombined with an
+    order-preserving merge reduction; the result is identical for
+    every pool size. *)
 
 val learner_result :
   ?config:Config.t -> ?custom:string -> ?pool:Encore_util.Pool.t ->
@@ -69,14 +69,6 @@ val learn_append :
     corpus. *)
 
 val model_of_learner : Encore_rules.Suffstats.learner -> model
-
-val learn_sharded_result :
-  ?config:Config.t -> ?custom:string -> ?pool:Encore_util.Pool.t ->
-  ?shards:int -> ?mining_cap:int -> Encore_sysenv.Image.t list ->
-  (model * Encore_rules.Suffstats.learner,
-   Encore_util.Resilience.diagnostic) result
-(** [stats_of_images] then [learner_result]: the [learn --shards]
-    entry point. *)
 
 val check :
   ?config:Config.t -> model -> Encore_sysenv.Image.t ->
@@ -148,7 +140,8 @@ val learn_durable :
   Encore_sysenv.Image.t list ->
   (outcome, Encore_util.Resilience.diagnostic) result
 (** {!learn_resilient} with durability.  The run proceeds in three
-    stages — ingest, assemble, model — and:
+    stages — ingest, assemble (the statistics fold over the
+    survivors), model (finalize, then the mining probe) — and:
 
     - with [checkpoint], persists each completed stage's artifact
       through the atomic snapshot writer;

@@ -42,25 +42,19 @@ val learn :
   ?entropy_threshold:float ->
   ?pool:Encore_util.Pool.t ->
   Encore_sysenv.Image.t list -> model
-(** Full learning pipeline: assemble the training set, infer rules from
-    the templates, apply support/confidence plus the entropy filter.
-    With [pool], assembly and candidate evaluation run on its worker
-    domains; the model is identical for any pool size. *)
-
-val model_of_training :
-  ?params:Encore_rules.Infer.params ->
-  ?templates:Encore_rules.Template.t list ->
-  ?entropy_threshold:float ->
-  ?pool:Encore_util.Pool.t ->
-  types:Encore_typing.Infer.env ->
-  (Encore_sysenv.Image.t * Encore_dataset.Row.t) list -> model
-(** Same, from an already-assembled training set. *)
+(** Full learning pipeline: fold the images into sufficient statistics
+    ({!Encore_rules.Suffstats}), then finalize them — type and assemble
+    the training set, infer rules from the templates, apply
+    support/confidence plus the entropy filter.  No mining probe runs,
+    so [overflowed] is [false].  With [pool], parsing, assembly and
+    candidate evaluation run on its worker domains; the model is
+    identical for any pool size. *)
 
 val model_of_finalized : Encore_rules.Suffstats.finalized -> model
 (** Repackage a finalized sufficient-statistics model.  For any corpus,
     [model_of_finalized (Suffstats.current (Suffstats.learner_of
-    (Suffstats.of_images imgs)))] equals [learn imgs] byte for byte —
-    the incremental learner's acceptance bar. *)
+    (Suffstats.of_images imgs)))] equals the batch builder kept as the
+    test oracle ([test/batch_oracle.ml]) byte for byte. *)
 
 type checks = Engine.checks = {
   check_names : bool;

@@ -501,45 +501,6 @@ let consequent_base_rate_fast fast relation ib =
             Some (float_of_int matching /. float_of_int present))
   | _ -> None
 
-let evaluate_candidate_fast ~params ~min_support fast (template, ia, ib) =
-  let relation = template.Template.relation in
-  let vacuous =
-    match antecedent_support_fast fast relation ia with
-    | Some s -> s < min_support
-    | None -> false
-  in
-  if vacuous then Rejected_support
-  else
-    let co_present =
-      Bitset.inter_count
-        (Bitcol.presence fast.bits ia)
-        (Bitcol.presence fast.bits ib)
-    in
-    (* applicable <= co-presence: the popcount alone disposes of
-       candidates that cannot reach minimum support *)
-    if co_present < min_support then Rejected_support
-    else
-      let applicable, valid = counts_fast fast template ia ib ~co_present in
-      if applicable < min_support then Rejected_support
-      else
-        let min_conf =
-          Option.value ~default:params.min_confidence
-            template.Template.min_confidence
-        in
-        let confidence = float_of_int valid /. float_of_int applicable in
-        let lifts =
-          match consequent_base_rate_fast fast relation ib with
-          | Some base -> confidence >= base +. min_lift_margin
-          | None -> true
-        in
-        if confidence >= min_conf && lifts then
-          Kept
-            { Template.template;
-              attr_a = fast.meta.names.(ia);
-              attr_b = fast.meta.names.(ib);
-              support = applicable; confidence }
-        else Rejected_confidence
-
 (* --- sharded evaluation --------------------------------------------------- *)
 
 (* Candidates are judged in fixed-size shards, each folding into a
@@ -608,13 +569,11 @@ let engine_of ~types ~ctxs ~view ~bits =
 let engine_instantiations eng template = instantiations_idx eng.fast.meta template
 let engine_attr eng i = eng.fast.meta.names.(i)
 
+let co_presence fast ia ib =
+  Bitset.inter_count (Bitcol.presence fast.bits ia) (Bitcol.presence fast.bits ib)
+
 let engine_counts eng (template, ia, ib) =
-  let co_present =
-    Bitset.inter_count
-      (Bitcol.presence eng.fast.bits ia)
-      (Bitcol.presence eng.fast.bits ib)
-  in
-  counts_fast eng.fast template ia ib ~co_present
+  counts_fast eng.fast template ia ib ~co_present:(co_presence eng.fast ia ib)
 
 (* First index position whose row id is >= [x] (the arrays are
    ascending), so tail scans skip the already-counted prefix. *)
@@ -662,34 +621,39 @@ let engine_counts_from eng ~from_row (template, ia, ib) =
     (!applicable, !valid)
   end
 
-let engine_verdict eng ~params ~min_support (template, ia, ib) ~applicable
+let vacuous fast ~min_support relation ia =
+  match antecedent_support_fast fast relation ia with
+  | Some s -> s < min_support
+  | None -> false
+
+(* Support, confidence and lift from a candidate's counts — the one
+   verdict every judge ends in, once vacuity is ruled out. *)
+let verdict_of_counts fast ~params ~min_support (template, ia, ib) ~applicable
     ~valid =
-  let relation = template.Template.relation in
-  let vacuous =
-    match antecedent_support_fast eng.fast relation ia with
-    | Some s -> s < min_support
-    | None -> false
-  in
-  (* [applicable <= co_present], so one comparison covers both of the
-     fast judge's support rejections *)
-  if vacuous || applicable < min_support then Rejected_support
+  if applicable < min_support then Rejected_support
   else
     let min_conf =
       Option.value ~default:params.min_confidence template.Template.min_confidence
     in
     let confidence = float_of_int valid /. float_of_int applicable in
     let lifts =
-      match consequent_base_rate_fast eng.fast relation ib with
+      match consequent_base_rate_fast fast template.Template.relation ib with
       | Some base -> confidence >= base +. min_lift_margin
       | None -> true
     in
     if confidence >= min_conf && lifts then
       Kept
         { Template.template;
-          attr_a = eng.fast.meta.names.(ia);
-          attr_b = eng.fast.meta.names.(ib);
+          attr_a = fast.meta.names.(ia);
+          attr_b = fast.meta.names.(ib);
           support = applicable; confidence }
     else Rejected_confidence
+
+let engine_verdict eng ~params ~min_support ((template, ia, _) as c)
+    ~applicable ~valid =
+  if vacuous eng.fast ~min_support template.Template.relation ia then
+    Rejected_support
+  else verdict_of_counts eng.fast ~params ~min_support c ~applicable ~valid
 
 let candidates_of ~types ~templates attrs =
   List.concat_map
@@ -715,7 +679,19 @@ let infer ?(params = default_params) ?(templates = Template.predefined)
   let candidates =
     List.concat_map (fun t -> instantiations_idx meta t) templates
   in
-  let judge = evaluate_candidate_fast ~params ~min_support fast in
+  (* vacuity, then the co-presence popcount (applicable <= co-present,
+     so it alone disposes of candidates that cannot reach minimum
+     support), then the counts and the shared verdict *)
+  let judge ((template, ia, ib) as c) =
+    if vacuous fast ~min_support template.Template.relation ia then
+      Rejected_support
+    else
+      let co_present = co_presence fast ia ib in
+      if co_present < min_support then Rejected_support
+      else
+        let applicable, valid = counts_fast fast template ia ib ~co_present in
+        verdict_of_counts fast ~params ~min_support c ~applicable ~valid
+  in
   let shards = shard_candidates candidates in
   let accs =
     (* zero state sharing between shard evaluations: each shard folds

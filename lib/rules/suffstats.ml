@@ -136,7 +136,11 @@ let merge a b =
 let pmap pool f xs =
   match pool with Some p -> Encore_util.Pool.map p f xs | None -> List.map f xs
 
-let of_images ?pool ?(shards = 1) images =
+let of_images ?pool images =
+  Otrace.with_span "stats-fold" @@ fun () ->
+  let shards =
+    match pool with Some p -> Encore_util.Pool.jobs p | None -> 1
+  in
   if shards <= 1 || images = [] then List.fold_left add_image empty images
   else begin
     let arr = Array.of_list images in
@@ -155,7 +159,7 @@ let of_images ?pool ?(shards = 1) images =
     List.fold_left merge empty (pmap pool learn_chunk bounds)
   end
 
-(* --- finalize: the batch model from the statistics ------------------------ *)
+(* --- finalize: the model from the statistics ----------------------------- *)
 
 type finalized = {
   f_types : Tinfer.env;
@@ -205,8 +209,8 @@ let aug_types t ~cfg_types view bits =
         Some (col, Tinfer.decide ~samples:cs.samples cs.tally))
     (Colview.attrs view)
 
-(* distinct values per attribute over the reverse instance stream — the
-   order [Detector.model_of_training]'s hashtable walk produces *)
+(* distinct values per attribute over the reverse instance stream (the
+   value-statistics order models have always carried) *)
 let value_stats_of view =
   List.mapi
     (fun a attr ->
@@ -264,7 +268,7 @@ let encode_tx tab items =
        (List.map (Encore_util.Symtab.intern tab) items))
 
 (* item strings of rows [from_row ..] straight off the view — the same
-   (attribute, value) multiset per row as the batch discretizer's
+   (attribute, value) multiset per row as [Discretize.transactions]'s
    [Row.to_list] walk, and the items are sort_uniq'd, so the encoded
    transaction is the same item set *)
 let transactions_of_view ~summaries ~tab ~from_row view =
@@ -289,18 +293,18 @@ let transactions_of_view ~summaries ~tab ~from_row view =
     (Colview.attrs view);
   Array.map (encode_tx tab) items
 
-let mining_overflow ?pool ~mining_frac ~mining_cap tx =
-  let n_tx = Array.length tx in
-  if n_tx = 0 then false
-  else
-    let min_support =
-      max 2 (int_of_float (ceil (mining_frac *. float_of_int n_tx)))
-    in
-    snd
-      (Encore_mining.Fpgrowth.count_only ~max_itemsets:mining_cap ?pool
-         ~min_support tx)
-
 (* --- the resident learner ------------------------------------------------- *)
+
+(* What the mining probe keeps between runs: the discretization
+   summaries and encoded transactions it mined, so {!append} can extend
+   them, and the corpus size it last mined at, for the re-arm rule. *)
+type probe_state = {
+  mining_cap : int;
+  summaries : numsum Smap.t;
+  tab : Encore_util.Symtab.t;
+  tx : Encore_mining.Itemset.t array;
+  probed_n : int;  (* corpus size at the last full mining pass *)
+}
 
 type learner = {
   stats : t;
@@ -308,8 +312,6 @@ type learner = {
   templates : Template.t list;
   etemplates : Template.t list;  (* polarity-expanded, cached *)
   entropy_threshold : float option;
-  mining_frac : float;
-  mining_cap : int;
   (* derived caches, all consistent with [stats] *)
   env : Tinfer.env;
   raw_ctypes : (string * Ctype.t) list;
@@ -318,10 +320,7 @@ type learner = {
   view : Colview.t;
   bits : Bitcol.t;
   counts : (int * string * string, int * int) Hashtbl.t;
-  m_summaries : numsum Smap.t;
-  m_tab : Encore_util.Symtab.t;
-  m_tx : Encore_mining.Itemset.t array;
-  last_probe_n : int;  (* corpus size at the last full mining probe *)
+  probe_state : probe_state option;  (* [None] until {!probe} runs *)
   result : finalized;
 }
 
@@ -347,12 +346,8 @@ let indexed_candidates ~etemplates engine =
 let m_filtered_redundant = Ometrics.counter "rules.filtered_redundant"
 let m_filtered_entropy = Ometrics.counter "rules.filtered_entropy"
 
-(* Candidate verdicts from the cached counts, then the detector's
-   filter chain — the exact sequence of [Rinfer.infer] +
-   [Detector.model_of_training], fed from integers instead of row
-   scans. *)
-let finalize_from ~params ~entropy_threshold ~n ~training ~view engine cands
-    counts =
+(* Candidate verdicts from the cached counts, in rule order. *)
+let verdicts ~params ~n engine cands counts =
   let min_support = Rinfer.min_support_of ~params n in
   let kept_rev = ref [] and rej_support = ref 0 and rej_confidence = ref 0 in
   List.iter
@@ -376,7 +371,10 @@ let finalize_from ~params ~entropy_threshold ~n ~training ~view engine cands
     ~candidates:(List.length cands)
     ~rej_support:!rej_support ~rej_confidence:!rej_confidence
     ~kept:(List.length !kept_rev);
-  let inferred = Rinfer.sort_rules (List.rev !kept_rev) in
+  Rinfer.sort_rules (List.rev !kept_rev)
+
+let filter_rules ~entropy_threshold ~view training inferred =
+  Otrace.with_span "rule-filter" @@ fun () ->
   let reduced = Filters.reduce_redundant inferred in
   Ometrics.incr
     ~by:(List.length inferred - List.length reduced)
@@ -398,61 +396,90 @@ let capture_counts ?pool engine cands =
   List.iter (fun (key, cnt) -> Hashtbl.replace tbl key cnt) results;
   tbl
 
-let build ?pool ~params ~templates ~etemplates ~entropy_threshold ~mining_frac
-    ~mining_cap stats =
-  Otrace.with_span "suffstats-finalize" @@ fun () ->
-  let parsed = List.rev stats.images_rev in
-  let cfg_types = config_types stats in
-  let training =
-    pmap pool
-      (fun (img, raw) -> (img, Assemble.augment_row ~types:cfg_types img raw))
-      parsed
+let finalized_of ~n ~env ~rules ~view ~overflowed =
+  {
+    f_types = env;
+    f_rules = rules;
+    f_value_stats =
+      Otrace.with_span "value-stats" (fun () -> value_stats_of view);
+    f_known_attrs = Colview.attrs view;
+    f_training_count = n;
+    f_overflowed = overflowed;
+  }
+
+let build ?pool ~params ~templates ~etemplates ~entropy_threshold stats =
+  let cfg_types, training, view, bits, env =
+    Otrace.with_span "assemble" @@ fun () ->
+    let cfg_types = config_types stats in
+    let training =
+      pmap pool
+        (fun (img, raw) -> (img, Assemble.augment_row ~types:cfg_types img raw))
+        (List.rev stats.images_rev)
+    in
+    let view = Colview.of_rows (List.map snd training) in
+    let bits = Bitcol.of_colview view in
+    (cfg_types, training, view, bits,
+     cfg_types @ aug_types stats ~cfg_types view bits)
   in
-  let rows = List.map snd training in
-  let view = Colview.of_rows rows in
-  let bits = Bitcol.of_colview view in
   let ctxs =
     Array.of_list
       (List.map (fun (image, row) -> { Relation.image; row }) training)
   in
-  let env = cfg_types @ aug_types stats ~cfg_types view bits in
-  let engine = Rinfer.engine_of ~types:env ~ctxs ~view ~bits in
-  let cands = indexed_candidates ~etemplates engine in
-  let counts = capture_counts ?pool engine cands in
-  let rules =
-    finalize_from ~params ~entropy_threshold ~n:stats.n ~training ~view engine
-      cands counts
+  let counts, inferred =
+    Otrace.with_span "rule-infer" @@ fun () ->
+    let engine = Rinfer.engine_of ~types:env ~ctxs ~view ~bits in
+    let cands = indexed_candidates ~etemplates engine in
+    let counts = capture_counts ?pool engine cands in
+    (counts, verdicts ~params ~n:stats.n engine cands counts)
   in
-  let m_summaries = summaries_of view in
-  let m_tab = Encore_util.Symtab.create ~size:256 () in
-  let m_tx = transactions_of_view ~summaries:m_summaries ~tab:m_tab ~from_row:0 view in
-  let overflowed = mining_overflow ?pool ~mining_frac ~mining_cap m_tx in
+  let rules = filter_rules ~entropy_threshold ~view training inferred in
   {
-    stats; params; templates; etemplates; entropy_threshold; mining_frac;
-    mining_cap; env;
+    stats; params; templates; etemplates; entropy_threshold; env;
     raw_ctypes = List.map (fun (a, d) -> (a, d.Tinfer.ctype)) cfg_types;
-    training; ctxs; view; bits; counts; m_summaries; m_tab; m_tx;
-    last_probe_n = stats.n;
-    result =
-      {
-        f_types = env;
-        f_rules = rules;
-        f_value_stats = value_stats_of view;
-        f_known_attrs = Colview.attrs view;
-        f_training_count = stats.n;
-        f_overflowed = overflowed;
-      };
+    training; ctxs; view; bits; counts;
+    probe_state = None;
+    result = finalized_of ~n:stats.n ~env ~rules ~view ~overflowed:false;
   }
 
 let learner_of ?pool ?(params = Rinfer.default_params)
-    ?(templates = Template.predefined) ?entropy_threshold ?mining_frac
-    ?(mining_cap = 100_000) stats =
-  let mining_frac =
-    match mining_frac with Some f -> f | None -> params.Rinfer.min_support_frac
-  in
+    ?(templates = Template.predefined) ?entropy_threshold stats =
   build ?pool ~params ~templates
     ~etemplates:(Rinfer.expand_polarities templates)
-    ~entropy_threshold ~mining_frac ~mining_cap stats
+    ~entropy_threshold stats
+
+(* One FP-growth counting pass over the cached transactions; the
+   learner keeps [ps] and reports the pass's overflow bit. *)
+let mine ?pool l ps =
+  let n_tx = Array.length ps.tx in
+  let overflowed =
+    n_tx > 0
+    && Otrace.with_span "fpgrowth"
+         ~attrs:[ ("transactions", Encore_obs.Jsonenc.Int n_tx) ]
+       @@ fun () ->
+       let min_support =
+         max 2
+           (int_of_float
+              (ceil (l.params.Rinfer.min_support_frac *. float_of_int n_tx)))
+       in
+       snd
+         (Encore_mining.Fpgrowth.count_only ~max_itemsets:ps.mining_cap ?pool
+            ~min_support ps.tx)
+  in
+  { l with
+    probe_state = Some ps;
+    result = { l.result with f_overflowed = overflowed } }
+
+let probe ?pool ~mining_cap l =
+  Otrace.with_span "mining-probe" @@ fun () ->
+  let ps =
+    Otrace.with_span "discretize" @@ fun () ->
+    let summaries = summaries_of l.view in
+    let tab = Encore_util.Symtab.create ~size:256 () in
+    { mining_cap; summaries; tab;
+      tx = transactions_of_view ~summaries ~tab ~from_row:0 l.view;
+      probed_n = l.stats.n }
+  in
+  mine ?pool l ps
 
 let rec take k = function
   | x :: rest when k > 0 -> x :: take (k - 1) rest
@@ -468,6 +495,34 @@ let kinds_stable ~before ~after =
       | None -> false
       | Some s' -> kind_of_sum s = kind_of_sum s')
     before
+
+(* The probe is the one diagnostic that is not decomposable: FP-growth
+   itemset counts cannot be maintained under corpus concatenation, so
+   a fresh probe costs a full mining pass.  The transactions extend
+   with the new rows, but the pass re-arms only once the corpus has
+   grown >= 1 % past the last probed size — small-corpus appends
+   (every identity test) always re-probe, while a single image folded
+   into a large fleet keeps append sublinear and the degraded flag at
+   worst 1 % of corpus growth stale. *)
+let reprobe ?pool ~old_n ~new_rows l =
+  match l.probe_state with
+  | None -> l
+  | Some ps ->
+      Otrace.with_span "mining-probe" @@ fun () ->
+      let ps =
+        Otrace.with_span "discretize" @@ fun () ->
+        let summaries = summaries_add ps.summaries new_rows in
+        let tx =
+          if kinds_stable ~before:ps.summaries ~after:summaries then
+            Array.append ps.tx
+              (transactions_of_view ~summaries ~tab:ps.tab ~from_row:old_n l.view)
+          else transactions_of_view ~summaries ~tab:ps.tab ~from_row:0 l.view
+        in
+        { ps with summaries; tx }
+      in
+      if l.stats.n - ps.probed_n >= max 1 (ps.probed_n / 100) then
+        mine ?pool l { ps with probed_n = l.stats.n }
+      else { l with probe_state = Some ps }
 
 let append ?pool learner images =
   if images = [] then learner
@@ -485,10 +540,14 @@ let append ?pool learner images =
     if not stable then
       (* a type decision moved: cached augmented rows no longer match
          what a batch run over the grown corpus would assemble *)
-      build ?pool ~params:learner.params ~templates:learner.templates
-        ~etemplates:learner.etemplates
-        ~entropy_threshold:learner.entropy_threshold
-        ~mining_frac:learner.mining_frac ~mining_cap:learner.mining_cap stats'
+      let l =
+        build ?pool ~params:learner.params ~templates:learner.templates
+          ~etemplates:learner.etemplates
+          ~entropy_threshold:learner.entropy_threshold stats'
+      in
+      match learner.probe_state with
+      | None -> l
+      | Some ps -> probe ?pool ~mining_cap:ps.mining_cap l
     else begin
       Otrace.with_span "suffstats-append" @@ fun () ->
       let old_n = Array.length learner.ctxs in
@@ -511,76 +570,47 @@ let append ?pool learner images =
       in
       let training = learner.training @ new_training in
       let env = cfg_types' @ aug_types stats' ~cfg_types:cfg_types' view bits in
-      let engine = Rinfer.engine_of ~types:env ~ctxs ~view ~bits in
-      let cands = indexed_candidates ~etemplates:learner.etemplates engine in
-      let counts = Hashtbl.create (2 * List.length cands + 1) in
-      List.iter
-        (fun (ti, ((_, ia, ib) as c)) ->
-          let key =
-            (ti, Rinfer.engine_attr engine ia, Rinfer.engine_attr engine ib)
-          in
-          let cnt =
-            match Hashtbl.find_opt learner.counts key with
-            | Some (a0, v0) ->
-                let da, dv = Rinfer.engine_counts_from engine ~from_row:old_n c in
-                (a0 + da, v0 + dv)
-            | None ->
-                (* newly eligible pair (fresh attribute or a non-raw
-                   type decision moved): count it over the full corpus *)
-                Rinfer.engine_counts engine c
-          in
-          Hashtbl.replace counts key cnt)
-        cands;
+      let counts, inferred =
+        Otrace.with_span "rule-infer" @@ fun () ->
+        let engine = Rinfer.engine_of ~types:env ~ctxs ~view ~bits in
+        let cands = indexed_candidates ~etemplates:learner.etemplates engine in
+        let counts = Hashtbl.create (2 * List.length cands + 1) in
+        List.iter
+          (fun (ti, ((_, ia, ib) as c)) ->
+            let key =
+              (ti, Rinfer.engine_attr engine ia, Rinfer.engine_attr engine ib)
+            in
+            let cnt =
+              match Hashtbl.find_opt learner.counts key with
+              | Some (a0, v0) ->
+                  let da, dv =
+                    Rinfer.engine_counts_from engine ~from_row:old_n c
+                  in
+                  (a0 + da, v0 + dv)
+              | None ->
+                  (* newly eligible pair (fresh attribute or a non-raw
+                     type decision moved): count it over the full corpus *)
+                  Rinfer.engine_counts engine c
+            in
+            Hashtbl.replace counts key cnt)
+          cands;
+        (counts, verdicts ~params:learner.params ~n:stats'.n engine cands counts)
+      in
       let rules =
-        finalize_from ~params:learner.params
-          ~entropy_threshold:learner.entropy_threshold ~n:stats'.n ~training
-          ~view engine cands counts
+        filter_rules ~entropy_threshold:learner.entropy_threshold ~view training
+          inferred
       in
-      let m_summaries = summaries_add learner.m_summaries new_rows in
-      let m_tx =
-        if kinds_stable ~before:learner.m_summaries ~after:m_summaries then
-          Array.append learner.m_tx
-            (transactions_of_view ~summaries:m_summaries ~tab:learner.m_tab
-               ~from_row:old_n view)
-        else
-          transactions_of_view ~summaries:m_summaries ~tab:learner.m_tab
-            ~from_row:0 view
-      in
-      (* The probe is the one diagnostic that is not decomposable:
-         FP-growth itemset counts cannot be maintained under corpus
-         concatenation, so a fresh probe costs a full mining pass.
-         Re-arm it only once the corpus has grown >= 1 % past the last
-         probed size — small-corpus appends (every identity test)
-         always re-probe, while a single image folded into a large
-         fleet keeps append sublinear and the degraded flag at worst
-         1 % of corpus growth stale. *)
-      let refresh_probe =
-        stats'.n - learner.last_probe_n >= max 1 (learner.last_probe_n / 100)
-      in
-      let overflowed =
-        if refresh_probe then
-          mining_overflow ?pool ~mining_frac:learner.mining_frac
-            ~mining_cap:learner.mining_cap m_tx
-        else learner.result.f_overflowed
-      in
-      {
-        learner with
-        stats = stats';
-        env;
-        raw_ctypes = List.map (fun (a, d) -> (a, d.Tinfer.ctype)) cfg_types';
-        training; ctxs; view; bits; counts; m_summaries; m_tx;
-        last_probe_n =
-          (if refresh_probe then stats'.n else learner.last_probe_n);
-        result =
-          {
-            f_types = env;
-            f_rules = rules;
-            f_value_stats = value_stats_of view;
-            f_known_attrs = Colview.attrs view;
-            f_training_count = stats'.n;
-            f_overflowed = overflowed;
-          };
-      }
+      reprobe ?pool ~old_n ~new_rows
+        {
+          learner with
+          stats = stats';
+          env;
+          raw_ctypes = List.map (fun (a, d) -> (a, d.Tinfer.ctype)) cfg_types';
+          training; ctxs; view; bits; counts;
+          result =
+            finalized_of ~n:stats'.n ~env ~rules ~view
+              ~overflowed:learner.result.f_overflowed;
+        }
     end
   end
 

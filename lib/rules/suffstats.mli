@@ -1,31 +1,32 @@
-(** Mergeable sufficient statistics for the learning pipeline.
+(** Mergeable sufficient statistics: the one learner.
 
-    Every model quantity — per-attribute typing tallies and
-    distinct-value summaries, candidate-rule (applicable, valid)
-    counts, discretization summaries for the mining probe — derives
-    from a value of type {!t} with the algebra
+    What this module keeps is the retained corpus — every training
+    image with its parsed raw row — plus per-attribute typing tallies
+    and bounded distinct-value sets.  Only the tallies are summaries
+    whose size is independent of the corpus; the rules' redundancy and
+    entropy filters and the value statistics need the rows themselves.
+    The algebra is
 
     {[ empty   add_image   merge   finalize ]}
 
-    where [merge] is associative, [add_image t img = merge t
-    (add_image empty img)], and finalizing (through {!learner_of} /
-    {!current}) reproduces the batch learner byte-identically:
-    partitioning a corpus arbitrarily, folding each part and merging
-    in corpus order yields the exact model of a one-shot batch learn.
+    where [merge] is associative and [add_image t img = merge t
+    (add_image empty img)], so partitioning a corpus arbitrarily,
+    folding each part and merging in corpus order yields the statistics
+    of one sequential fold.  Finalizing ({!learner_of}) is the only way
+    a model is built: batch learning is fold + finalize, and the
+    mining-overflow diagnostic is one separate step ({!probe}).
 
     On top of the algebra sits a resident {!learner} that keeps the
     derived caches (columnar view, bitset overlay, per-candidate
-    counts, mining transactions) alive so {!append} folds new images
-    in sublinear time: only appended rows are scanned unless a type
-    decision shifts, in which case it transparently falls back to a
-    full rebuild — the result is identical either way. *)
+    counts, and once probed the mining transactions) alive so {!append}
+    folds new images in sublinear time: only appended rows are scanned
+    unless a type decision shifts, in which case it transparently falls
+    back to a full rebuild — the result is identical either way. *)
 
 type t
-(** Sufficient statistics over a multiset of system images.  Includes
-    the images themselves (models need the training rows for
-    redundancy/entropy filtering and value statistics); everything
-    else is per-attribute summaries whose size is independent of the
-    corpus. *)
+(** Sufficient statistics over a multiset of system images: the images
+    themselves with their parsed rows, in corpus order, plus
+    per-attribute typing tallies. *)
 
 val empty : t
 val add_image : t -> Encore_sysenv.Image.t -> t
@@ -35,13 +36,11 @@ val merge : t -> t -> t
     left-then-right, so a deterministic left-to-right reduction over
     corpus-ordered shards equals the sequential fold. *)
 
-val of_images :
-  ?pool:Encore_util.Pool.t -> ?shards:int ->
-  Encore_sysenv.Image.t list -> t
-(** Fold the corpus, optionally partitioned into [shards] contiguous
-    chunks learned on the pool's domains and recombined with an
-    order-preserving [merge] reduction.  Identical result for every
-    [shards] and pool size. *)
+val of_images : ?pool:Encore_util.Pool.t -> Encore_sysenv.Image.t list -> t
+(** Fold the corpus (span [stats-fold]), partitioned into one
+    contiguous chunk per pool worker so parsing fans out, and
+    recombined with an order-preserving [merge] reduction.  Identical
+    result for every pool size. *)
 
 val n_images : t -> int
 val images : t -> Encore_sysenv.Image.t list
@@ -56,7 +55,8 @@ type finalized = {
   f_value_stats : (string * string list) list;
   f_known_attrs : string list;
   f_training_count : int;
-  f_overflowed : bool;  (** mining probe hit its itemset cap *)
+  f_overflowed : bool;
+      (** {!probe} hit its itemset cap; [false] until it runs *)
 }
 
 type learner
@@ -68,13 +68,21 @@ val learner_of :
   ?params:Infer.params ->
   ?templates:Template.t list ->
   ?entropy_threshold:float ->
-  ?mining_frac:float ->
-  ?mining_cap:int ->
   t -> learner
 (** Finalize: assemble the corpus under the tallied type decisions,
-    judge every candidate through the counts engine, filter, and run
-    the mining probe.  [mining_frac] defaults to
-    [params.min_support_frac]; [mining_cap] to 100_000 itemsets. *)
+    judge every candidate through the counts engine, filter, and
+    collect the value statistics, under the [assemble], [rule-infer],
+    [rule-filter] and [value-stats] spans.  No mining probe runs, so
+    [f_overflowed] is [false]. *)
+
+val probe :
+  ?pool:Encore_util.Pool.t -> mining_cap:int -> learner -> learner
+(** The mining capacity probe (span [mining-probe], with [discretize]
+    and [fpgrowth] inside): discretize the assembled rows into
+    transactions and count frequent itemsets at the learner's
+    [min_support_frac] of the corpus until [mining_cap]; sets
+    [f_overflowed].  The learner keeps the transactions, and from then
+    on {!append} maintains them and re-probes. *)
 
 val append :
   ?pool:Encore_util.Pool.t ->
@@ -84,12 +92,13 @@ val append :
     rows are assembled and scanned (candidate counts extend by their
     row-range delta, mining transactions append); otherwise the
     learner rebuilds from the merged statistics.  In both cases the
-    result equals [learner_of (fold add_image stats images)], with one
-    amortization: the mining overflow probe — the lone diagnostic that
-    cannot be maintained incrementally — re-runs only once the corpus
-    has grown at least 1 % past its last probed size, so
-    [f_overflowed] can lag by up to that much growth on very large
-    corpora (appends into small corpora always re-probe). *)
+    result equals finalizing [fold add_image stats images] (and
+    probing it, when the learner was probed), with one amortization:
+    the mining overflow probe — the lone diagnostic that cannot be
+    maintained incrementally — re-runs only once the corpus has grown
+    at least 1 % past its last probed size, so [f_overflowed] can lag
+    by up to that much growth on very large corpora (appends into
+    small corpora always re-probe). *)
 
 val stats : learner -> t
 val current : learner -> finalized

@@ -10,8 +10,7 @@ module Pool = Encore_util.Pool
 module Res = Encore_util.Resilience
 module Prng = Encore_util.Prng
 module Image = Encore_sysenv.Image
-module Assemble = Encore_dataset.Assemble
-module Table = Encore_dataset.Table
+module Suffstats = Encore_rules.Suffstats
 module Detector = Encore_detect.Detector
 module Model_io = Encore_detect.Model_io
 module Chaos = Encore_inject.Chaos
@@ -350,16 +349,59 @@ let test_checkpoint_ingest_roundtrip () =
 let test_checkpoint_assemble_roundtrip () =
   with_dir @@ fun dir ->
   let ck = Checkpoint.create ~dir in
-  let assembled = Assemble.assemble_training (training 6) in
-  Checkpoint.save_assemble ck ~fingerprint:"fp" assembled;
+  let stats = Suffstats.of_images (training 6) in
+  Checkpoint.save_assemble ck ~fingerprint:"fp" stats;
+  check Alcotest.bool "fingerprint mismatch treated as absent" true
+    (Checkpoint.load_assemble ck ~fingerprint:"fp-2" = None);
   match Checkpoint.load_assemble ck ~fingerprint:"fp" with
   | Some restored ->
-      check Alcotest.string "table round-trips verbatim"
-        (Table.to_csv assembled.Assemble.table)
-        (Table.to_csv restored.Assemble.table);
-      check Alcotest.bool "type environment bit-identical" true
-        (restored.Assemble.types = assembled.Assemble.types)
+      check Alcotest.string "statistics round-trip verbatim"
+        (Suffstats.to_payload stats)
+        (Suffstats.to_payload restored);
+      let model s =
+        Model_io.to_string
+          (Detector.model_of_finalized
+             (Suffstats.current (Suffstats.learner_of s)))
+      in
+      check Alcotest.string "restored statistics finalize identically"
+        (model stats) (model restored)
   | None -> Alcotest.fail "assemble checkpoint did not load"
+
+(* An assemble checkpoint in the older row-by-row table format carries
+   the right fingerprint but no statistics frame: it must read as
+   stale, and a resume must recompute the stage onto the same model. *)
+let test_checkpoint_old_assemble_is_stale () =
+  with_dir @@ fun dir ->
+  let images = training 6 in
+  let learn ?checkpoint ?resume () =
+    match
+      Pipeline.learn_durable ~mining_cap:2_000 ?checkpoint ?resume images
+    with
+    | Ok ({ Pipeline.model = Some m; _ } as o) -> (Model_io.to_string m, o)
+    | _ -> Alcotest.fail "learn_durable failed"
+  in
+  let ck = Checkpoint.create ~dir in
+  let reference, _ = learn ~checkpoint:ck () in
+  let path = Checkpoint.stage_path ck Checkpoint.Assemble in
+  let kind = "ckpt-assemble" in
+  let fingerprint =
+    match Snapshot.read ~kind path with
+    | Ok payload -> String.sub payload 0 (String.index payload '\n')
+    | Error e -> Alcotest.fail (Snapshot.error_to_string e)
+  in
+  Snapshot.write_atomic ~kind path
+    (fingerprint
+    ^ "\n@types\nport,port-number,0x1p+0,6\n@table\nr,img-0\nc,port,3306\n");
+  Sys.remove (Checkpoint.stage_path ck Checkpoint.Model);
+  check Alcotest.bool "old-format checkpoint reads as absent" true
+    (Checkpoint.load_assemble ck ~fingerprint = None);
+  let resumed_model, o = learn ~resume:ck () in
+  check Alcotest.bool "assemble recomputed, not resumed" false
+    (List.mem Checkpoint.Assemble o.Pipeline.resumed);
+  check Alcotest.bool "ingest still resumed" true
+    (List.mem Checkpoint.Ingest o.Pipeline.resumed);
+  check Alcotest.string "recomputed model = uninterrupted model" reference
+    resumed_model
 
 let test_checkpoint_damaged_is_absent () =
   with_dir @@ fun dir ->
@@ -517,6 +559,8 @@ let () =
         [
           Alcotest.test_case "ingest roundtrip" `Quick test_checkpoint_ingest_roundtrip;
           Alcotest.test_case "assemble roundtrip" `Quick test_checkpoint_assemble_roundtrip;
+          Alcotest.test_case "old assemble format is stale" `Quick
+            test_checkpoint_old_assemble_is_stale;
           Alcotest.test_case "damaged is absent" `Quick test_checkpoint_damaged_is_absent;
           Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
         ] );

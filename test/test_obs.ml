@@ -596,15 +596,46 @@ let test_summary_of_file_empty_and_blank () =
           check Alcotest.bool "newline-terminated blanks not truncated" false
             s.Summary.truncated)
 
+(* --- the stage split of a traced learn -------------------------------------- *)
+
+let clean_mysql n =
+  let profile = { Profile.ec2 with Profile.latent_error_rate = 0.0 } in
+  Population.images (Population.generate ~profile ~seed:11 Image.Mysql ~n)
+
+(* stage names under the root span, each of which must appear once *)
+let traced_stages f =
+  Trace.set_sink Trace.Memory;
+  f ();
+  let s = Summary.of_spans (Trace.roots ()) in
+  Trace.clear ();
+  List.iter
+    (fun st ->
+      check Alcotest.int
+        (Printf.sprintf "%s opened once" st.Summary.stage_name)
+        1 st.Summary.calls)
+    s.Summary.stages;
+  List.sort compare (List.map (fun st -> st.Summary.stage_name) s.Summary.stages)
+
+let test_learn_stage_split () =
+  let images = clean_mysql 12 in
+  check
+    Alcotest.(list string)
+    "learn: fold, then finalize's stages"
+    [ "assemble"; "rule-filter"; "rule-infer"; "stats-fold"; "value-stats" ]
+    (traced_stages (fun () -> ignore (Encore.Pipeline.learn images)));
+  check
+    Alcotest.(list string)
+    "learn_resilient: ingest, fold, finalize, probe, report"
+    [ "assemble"; "ingest"; "mining-probe"; "report"; "rule-filter";
+      "rule-infer"; "stats-fold"; "value-stats" ]
+    (traced_stages (fun () ->
+         ignore (Encore.Pipeline.learn_resilient ~mining_cap:2_000 images)))
+
 (* --- determinism under a seeded workload ----------------------------------- *)
 
 let seeded_snapshot () =
   Metrics.reset ();
-  let profile = { Profile.ec2 with Profile.latent_error_rate = 0.0 } in
-  let images =
-    Population.images (Population.generate ~profile ~seed:11 Image.Mysql ~n:12)
-  in
-  match Encore.Pipeline.learn_resilient images with
+  match Encore.Pipeline.learn_resilient (clean_mysql 12) with
   | Ok _ -> Jsonenc.to_string (Metrics.snapshot_to_json (Metrics.snapshot ()))
   | Error d ->
       Alcotest.failf "learn failed: %s"
@@ -668,6 +699,7 @@ let () =
           t "of_spans truncated passthrough" test_summary_of_spans_truncated;
           t "of_file on empty and blank files"
             test_summary_of_file_empty_and_blank;
+          t "learn stages appear once each" test_learn_stage_split;
         ] );
       ( "determinism",
         [ t "seeded metric snapshots are identical" test_snapshot_determinism ] );

@@ -263,6 +263,64 @@ let test_custom_file_error_raised () =
     (Invalid_argument "customization file, line 2: unknown operator: %%")
     (fun () -> ignore (Pipeline.learn ~custom:"$$Template\n[A] %% [B]\n" (training Image.Mysql 6)))
 
+(* --- golden models --------------------------------------------------------- *)
+
+(* Model_io digests recorded before batch learning was folded into the
+   sufficient-statistics learner.  Any change to what [Pipeline.learn]
+   or [Pipeline.learn_resilient] learns from these corpora — rules,
+   types, value statistics, the overflow bit — changes a digest, at
+   every job count. *)
+let golden_corpora =
+  [
+    ("mysql", fun () -> Population.clean (Population.generate ~seed:41 Image.Mysql ~n:24));
+    ("apache", fun () -> Population.clean (Population.generate ~seed:42 Image.Apache ~n:20));
+    ("php", fun () -> Population.clean (Population.generate ~seed:43 Image.Php ~n:20));
+    ("sshd", fun () -> Population.clean (Population.generate ~seed:44 Image.Sshd ~n:20));
+    ("synthfleet", fun () -> Encore_workloads.Synthfleet.generate ~seed:7 ~n:60 ());
+  ]
+
+(* (corpus, entry point, digest) *)
+let golden_digests =
+  [
+    ("mysql", "learn", "df59f4805f3ef1ff5b8abe13f926cd59");
+    ("mysql", "learn_resilient", "771dfe695183f8d7b4cec4df2d563b3d");
+    ("apache", "learn", "02b619aabea6f7de692bdbff7c9d69a1");
+    ("apache", "learn_resilient", "a69ea4caac290a8444ddebf171f08137");
+    ("php", "learn", "82ac7f3d654e802bbf05a48a6d046282");
+    ("php", "learn_resilient", "f73cbc200aa9d26166535b8584521d4c");
+    ("sshd", "learn", "99baf31390b4c711532761374ce7db71");
+    ("sshd", "learn_resilient", "7d9c57ebd2ca9c7df28a18a997db4034");
+    ("synthfleet", "learn", "dd3ca146de3910623d5ce9b020955b2a");
+    ("synthfleet", "learn_resilient", "9fe9a119bf31ee5688cd8ac8c6746f56");
+  ]
+
+let model_digest model =
+  Digest.to_hex (Digest.string (Encore_detect.Model_io.to_string model))
+
+let golden_model ~jobs corpus entry =
+  let config = { Config.default with Config.jobs } in
+  let images = (List.assoc corpus golden_corpora) () in
+  match entry with
+  | "learn" -> Pipeline.learn ~config images
+  | _ -> (
+      match Pipeline.learn_resilient ~config ~mining_cap:2_000 images with
+      | Ok (model, _) -> model
+      | Error d ->
+          Alcotest.failf "learn_resilient %s: %s" corpus
+            (Encore_util.Resilience.diagnostic_to_string d))
+
+let test_golden_models () =
+  List.iter
+    (fun (corpus, entry, digest) ->
+      List.iter
+        (fun jobs ->
+          check Alcotest.string
+            (Printf.sprintf "%s %s jobs=%d" corpus entry jobs)
+            digest
+            (model_digest (golden_model ~jobs corpus entry)))
+        [ 1; 4 ])
+    golden_digests
+
 (* --- experiment shapes ---------------------------------------------------- *)
 
 let cell table ~row ~col =
@@ -372,6 +430,7 @@ let () =
           Alcotest.test_case "custom template" `Quick test_custom_template_used;
           Alcotest.test_case "training soundness bound" `Quick test_training_soundness;
           Alcotest.test_case "custom file error" `Quick test_custom_file_error_raised;
+          Alcotest.test_case "golden model digests" `Quick test_golden_models;
         ] );
       ( "exit codes",
         [

@@ -258,6 +258,55 @@ let test_expand_polarities () =
   in
   check Alcotest.int "four polarities" 4 (List.length expanded)
 
+(* The bitset judge against the pre-bitset reference evaluator, on
+   assembled populations: a random mix of all four study apps in one
+   training set, and prefixes of the synthetic fleet.  Rules are
+   compared with support and the exact confidence bits. *)
+let fleet_for_reference = lazy (Encore_workloads.Synthfleet.generate ~seed:7 ~n:60 ())
+
+let prop_infer_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      triple (oneofl [ `Mixed; `Fleet ]) (int_range 8 48) (int_range 0 10_000))
+  in
+  QCheck.Test.make ~name:"infer = infer_reference at jobs 1 and 4" ~count:10
+    (QCheck.make gen)
+    (fun (kind, n, seed) ->
+      let images =
+        match kind with
+        | `Mixed ->
+            let module P = Encore_workloads.Population in
+            let rng = Random.State.make [| seed |] in
+            List.init n (fun i ->
+                let app =
+                  List.nth [ Image.Mysql; Image.Apache; Image.Php; Image.Sshd ]
+                    (Random.State.int rng 4)
+                in
+                match P.images (P.generate ~seed:(seed + i) app ~n:1) with
+                | [ img ] -> { img with Image.image_id = Printf.sprintf "mix-%03d" i }
+                | _ -> assert false)
+        | `Fleet -> List.filteri (fun i _ -> i < n) (Lazy.force fleet_for_reference)
+      in
+      let assembled = Encore_dataset.Assemble.assemble_training images in
+      let training =
+        List.map2
+          (fun img (_, row) -> (img, row))
+          images
+          (Encore_dataset.Table.rows assembled.Encore_dataset.Assemble.table)
+      in
+      let types = assembled.Encore_dataset.Assemble.types in
+      let render rules =
+        List.map
+          (fun (r : Template.rule) ->
+            Printf.sprintf "%s|%d|%h" (Template.rule_to_string r) r.support
+              r.confidence)
+          rules
+      in
+      let reference = render (Rinfer.infer_reference ~types training) in
+      List.for_all
+        (fun jobs -> render (Rinfer.infer ~jobs ~types training) = reference)
+        [ 1; 4 ])
+
 (* --- Filters --------------------------------------------------------------------- *)
 
 let test_entropy_filter () =
@@ -412,6 +461,7 @@ let () =
             test_parallel_equals_sequential;
           Alcotest.test_case "jobs exceed candidates" `Quick
             test_parallel_jobs_exceed_candidates;
+          QCheck_alcotest.to_alcotest prop_infer_matches_reference;
         ] );
       ( "filters",
         [

@@ -27,12 +27,14 @@ let payload t = Suffstats.to_payload t
 let model_string learner =
   Model_io.to_string (Detector.model_of_finalized (Suffstats.current learner))
 
-(* Batch reference with the mining probe, as [learn_resilient] runs it:
-   the suffstats learner always carries the probe's overflow bit. *)
+(* The batch oracle with the mining probe, as [learn_resilient] runs
+   it over a clean corpus: an independent construction, so the
+   learner is never compared with itself. *)
 let batch_model_string images =
-  match Pipeline.learn_resilient ~mining_cap images with
-  | Ok (model, _report) -> Model_io.to_string model
-  | Error d -> Alcotest.failf "learn_resilient: %s" d.Encore_util.Resilience.detail
+  Model_io.to_string (Batch_oracle.learn ~mining_cap images)
+
+(* finalize under the default parameters, then the probe *)
+let learner_of_stats t = Suffstats.learner_of t |> Suffstats.probe ~mining_cap
 
 (* cut a list at ascending positions *)
 let split_at cuts xs =
@@ -89,32 +91,37 @@ let qcheck_partition_invariant =
 let test_sharded_stats_identity () =
   let seq = Suffstats.of_images fleet in
   List.iter
-    (fun shards ->
-      let config = { Config.default with Config.jobs = 4 } in
-      let sharded = Pipeline.stats_of_images ~config ~shards fleet in
+    (fun jobs ->
+      let config = { Config.default with Config.jobs } in
+      let sharded = Pipeline.stats_of_images ~config fleet in
       check Alcotest.string
-        (Printf.sprintf "shards=%d equals sequential" shards)
+        (Printf.sprintf "jobs=%d (one shard per worker) equals sequential" jobs)
         (payload seq) (payload sharded))
-    [ 1; 3; 8 ]
+    [ 1; 3; 4 ]
 
 let test_finalize_matches_batch () =
+  check Alcotest.string "unprobed finalize equals the batch oracle"
+    (Model_io.to_string (Batch_oracle.learn fleet))
+    (Model_io.to_string (Detector.learn fleet));
   let expected = batch_model_string fleet in
   List.iter
-    (fun (jobs, shards) ->
-      let config = { Config.default with Config.jobs = jobs } in
-      match Pipeline.learn_sharded_result ~config ~shards ~mining_cap fleet with
-      | Error d -> Alcotest.failf "learn_sharded_result: %s" d.Encore_util.Resilience.detail
-      | Ok (model, _) ->
+    (fun jobs ->
+      let config = { Config.default with Config.jobs } in
+      match
+        Pipeline.learner_result ~config ~mining_cap
+          (Pipeline.stats_of_images ~config fleet)
+      with
+      | Error d -> Alcotest.failf "learner_result: %s" d.Encore_util.Resilience.detail
+      | Ok learner ->
           check Alcotest.string
-            (Printf.sprintf "jobs=%d shards=%d model equals batch" jobs shards)
+            (Printf.sprintf "jobs=%d model equals batch" jobs)
             expected
-            (Model_io.to_string model))
-    [ (1, 1); (4, 8) ]
+            (Model_io.to_string (Pipeline.model_of_learner learner)))
+    [ 1; 4 ]
 
 (* --- incremental append ---------------------------------------------------- *)
 
-let learner_of_images images =
-  Suffstats.learner_of ~mining_cap (Suffstats.of_images images)
+let learner_of_images images = learner_of_stats (Suffstats.of_images images)
 
 let test_append_matches_batch () =
   match split_at [ 40; 50 ] fleet with
@@ -221,8 +228,8 @@ let test_store_roundtrip () =
           check Alcotest.string "store round-trips" (payload t) (payload t');
           (* the reloaded statistics finalize to the same model *)
           check Alcotest.string "reloaded stats finalize identically"
-            (model_string (Suffstats.learner_of ~mining_cap t))
-            (model_string (Suffstats.learner_of ~mining_cap t')))
+            (model_string (learner_of_stats t))
+            (model_string (learner_of_stats t')))
 
 let test_envelope_rejects_foreign_schema () =
   let path = Filename.temp_file "encore-suffstats" ".snap" in
